@@ -6,8 +6,8 @@
 // saturates (52.3 GiB for In-memory Analytics, 123.8 GiB for PageRank);
 // peak utilisation of the 256 GiB node is 20.4% and 48.4% respectively.
 // The dataset is laptop-scale; allocation sizes are reported through a
-// scale factor and the time axis is normalised to the paper's span
-// (DESIGN.md section 6).
+// scale factor and the time axis is normalised to the paper's span, so the
+// ramp and saturation points compare directly with the paper's plot.
 #include <algorithm>
 #include <cstdio>
 

@@ -1,15 +1,15 @@
 // Trace-store throughput + density: write/read MB/s and bytes/sample of the
-// binary trace format (store/trace_file.hpp), format v1 vs v2, with and
-// without the per-block codec, against CSV export.
+// binary trace format (store/trace_file.hpp), format v2 with and without
+// the per-block codec, against CSV export.
 //
 // Not a paper figure: it characterizes the store subsystem this repo adds
 // on top of the paper's per-run CSV workflow.  The numbers that matter at
 // many-concurrent-sessions scale are (a) how fast a session can persist
-// its trace, (b) how fast nmo-trace can stream it back (and, for v2, decode
-// it block-parallel off the index), and (c) how dense the cold-archival
-// bytes are - ROADMAP's "trace store compression" item: v1 plateaus at
-// ~14 B/sample, v2's self-contained blocks + LZ codec must land strictly
-// below that on both workload profiles.
+// its trace, (b) how fast nmo-trace can stream it back (and decode it
+// block-parallel off the index), and (c) how dense the cold-archival bytes
+// are - ROADMAP's "trace store compression" item: the legacy v1 format
+// plateaued at ~14 B/sample, and v2's self-contained blocks + LZ codec
+// must land strictly below that on both workload profiles.
 //
 // Two sample profiles bracket the workloads the paper sweeps:
 //   stream  sequential strided accesses at a steady cadence (Fig. 4's
@@ -35,6 +35,7 @@
 #include "common/rng.hpp"
 #include "core/trace.hpp"
 #include "store/trace_file.hpp"
+#include "store/trace_query.hpp"
 
 namespace {
 
@@ -113,7 +114,7 @@ struct FormatResult {
   double bytes_per_sample = 0.0;
   double write_mbps = 0.0;
   double read_mbps = 0.0;
-  double read_parallel_mbps = 0.0;  ///< 0 when the format cannot seek (v1).
+  double read_parallel_mbps = 0.0;
   bool round_trip_ok = true;
 };
 
@@ -143,20 +144,18 @@ FormatResult run_format(const char* name, const nmo::core::SampleTrace& trace,
     }
     read_s.add(seconds_since(t0));
 
-    if (options.version >= nmo::store::kTraceVersion2) {
-      t0 = std::chrono::steady_clock::now();
-      const auto back = nmo::store::read_all_parallel(path, 4);
-      par_s.add(seconds_since(t0));
-      r.round_trip_ok =
-          r.round_trip_ok && back.has_value() && back->fingerprint() == reference_md5;
-    }
+    t0 = std::chrono::steady_clock::now();
+    const auto back = nmo::store::query(path).run(4);
+    par_s.add(seconds_since(t0));
+    // The parallel scan does not re-hash its blocks; hold the reassembled
+    // samples to the footer digest here, outside the timed region.
+    r.round_trip_ok = r.round_trip_ok && back.ok && back.info.fingerprint == reference_md5 &&
+                      back.samples.fingerprint() == reference_md5;
   }
   r.bytes_per_sample = static_cast<double>(r.bytes) / static_cast<double>(trace.size());
   r.write_mbps = mib(r.bytes) / write_s.mean();
   r.read_mbps = mib(r.bytes) / read_s.mean();
-  if (options.version >= nmo::store::kTraceVersion2) {
-    r.read_parallel_mbps = mib(r.bytes) / par_s.mean();
-  }
+  r.read_parallel_mbps = mib(r.bytes) / par_s.mean();
   return r;
 }
 
@@ -165,11 +164,7 @@ void print_format(const FormatResult& r) {
   std::snprintf(bps, sizeof(bps), "%.2f", r.bytes_per_sample);
   std::snprintf(w, sizeof(w), "%.1f", r.write_mbps);
   std::snprintf(rd, sizeof(rd), "%.1f", r.read_mbps);
-  if (r.read_parallel_mbps > 0) {
-    std::snprintf(par, sizeof(par), "%.1f", r.read_parallel_mbps);
-  } else {
-    std::snprintf(par, sizeof(par), "-");
-  }
+  std::snprintf(par, sizeof(par), "%.1f", r.read_parallel_mbps);
   nmo::bench::print_row({r.name, bps, w, rd, par, r.round_trip_ok ? "ok" : "MISMATCH"}, 14);
 }
 
@@ -197,7 +192,7 @@ int main(int argc, char** argv) {
   }
   if (want_json && json_path.empty()) json_path = "BENCH_store_v2.json";
 
-  nmo::bench::banner("fig13", "trace store: format v1 vs v2 (+codec), bytes/sample + MB/s");
+  nmo::bench::banner("fig13", "trace store: format v2 (+codec), bytes/sample + MB/s");
   std::printf("%zu samples/profile, %d trials\n", samples, trials);
 
   const fs::path dir = fs::temp_directory_path() / "nmo_fig13_store";
@@ -217,9 +212,8 @@ int main(int argc, char** argv) {
     Options options;
   };
   const std::vector<Format> formats = {
-      {"v1", Options{nmo::store::kTraceVersion1, false}},
-      {"v2-raw", Options{nmo::store::kTraceVersion2, false}},
-      {"v2-lz", Options{nmo::store::kTraceVersion2, true}},
+      {"v2-raw", Options{.compress = false}},
+      {"v2-lz", Options{.compress = true}},
   };
 
   bool all_ok = true;

@@ -1,18 +1,17 @@
 // Scheduler throughput: sessions/sec of the bounded worker pool
-// (store/scheduler.hpp) vs the thread-per-session baseline.
+// (store/scheduler.hpp) at increasing worker counts.
 //
 // Not a paper figure: it characterizes the admission-controlled session
 // runner this repo adds for fleet-scale profiled job counts.  The
-// questions that matter at "millions of users" scale are (a) how many
-// profiled sessions per second the pool sustains at each worker count,
-// (b) what the thread-per-session baseline costs in comparison, and (c)
-// that both paths persist byte-identical session traces (asserted every
-// trial via the per-session fingerprints).
+// questions that matter are (a) how many profiled sessions per second the
+// pool sustains at each worker count and (b) that every pool size persists
+// byte-identical session traces (asserted every trial via the per-session
+// fingerprints, against the first pool configuration's first trial).
 //
 //   ./bench_scheduler_throughput [sessions] [trials] [--json FILE]
 //
-// --json writes machine-readable results (one object per mode) for the CI
-// artifact trail.
+// --json writes machine-readable results (one object per pool size) for
+// the CI artifact trail.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -56,15 +55,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-struct ModeResult {
-  std::string mode;          // "threaded" or "pool"
-  std::uint32_t workers = 0; // 0 for threaded (= one thread per session)
+struct PoolResult {
+  std::uint32_t workers = 0;
   double sessions_per_sec = 0.0;
   double seconds_mean = 0.0;
 };
 
-/// Per-session fingerprints in job order; the identity every mode must
-/// reproduce.  A failed session contributes its error text, so two modes
+/// Per-session fingerprints in job order; the identity every pool size must
+/// reproduce.  A failed session contributes its error text, so two runs
 /// failing differently can never compare as identical.
 std::vector<std::string> fingerprints_of(const std::vector<nmo::store::SessionResult>& results) {
   std::vector<std::string> fps;
@@ -101,7 +99,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  nmo::bench::banner("scheduler", "bounded session scheduler vs thread-per-session");
+  nmo::bench::banner("scheduler", "bounded session scheduler: sessions/sec by pool size");
   std::printf("%zu sessions per run, %d trials\n\n", sessions, trials);
 
   const fs::path root = fs::temp_directory_path() / "nmo_bench_scheduler";
@@ -111,59 +109,12 @@ int main(int argc, char** argv) {
   const std::uint32_t hw = nmo::store::default_max_workers();
   if (hw > 4) worker_counts.push_back(hw);
 
-  std::vector<ModeResult> modes;
+  std::vector<PoolResult> pools;
   std::vector<std::string> reference_fps;
   bool identical = true;
 
-  nmo::bench::print_row({"mode", "workers", "sessions/s", "seconds"}, 14);
+  nmo::bench::print_row({"workers", "sessions/s", "seconds"}, 14);
 
-  const auto record = [&](const std::string& mode, std::uint32_t workers,
-                          const nmo::RunningStats& secs) {
-    ModeResult r;
-    r.mode = mode;
-    r.workers = workers;
-    r.seconds_mean = secs.mean();
-    r.sessions_per_sec = static_cast<double>(sessions) / secs.mean();
-    modes.push_back(r);
-    char sps[32], sec[32];
-    std::snprintf(sps, sizeof(sps), "%.1f", r.sessions_per_sec);
-    std::snprintf(sec, sizeof(sec), "%.3f", r.seconds_mean);
-    nmo::bench::print_row(
-        {mode, workers == 0 ? std::string("n/a") : std::to_string(workers), sps, sec}, 14);
-  };
-
-  // Every trial of every mode must reproduce the reference fingerprints
-  // (trial 0 of the threaded baseline); this is the bench's divergence
-  // gate, not just its banner.
-  const auto check_parity = [&](const std::vector<nmo::store::SessionResult>& results,
-                                const char* mode, std::uint32_t workers, int trial) {
-    const auto fps = fingerprints_of(results);
-    if (reference_fps.empty()) {
-      reference_fps = fps;
-    } else if (fps != reference_fps) {
-      identical = false;
-      std::printf("!! %s(%u) trial %d traces differ from the baseline\n", mode, workers,
-                  trial);
-    }
-  };
-
-  // Thread-per-session baseline.
-  {
-    nmo::RunningStats secs;
-    for (int t = 0; t < trials; ++t) {
-      fs::remove_all(root);
-      nmo::store::SessionStore store(root.string());
-      nmo::store::RunOptions options;
-      options.threaded = true;
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto run = nmo::store::run_sessions(store, jobs, options);
-      secs.add(seconds_since(t0));
-      check_parity(run.results, "threaded", 0, t);
-    }
-    record("threaded", 0, secs);
-  }
-
-  // The bounded pool at increasing worker counts.
   for (const std::uint32_t workers : worker_counts) {
     nmo::RunningStats secs;
     for (int t = 0; t < trials; ++t) {
@@ -176,26 +127,42 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       const auto run = nmo::store::run_sessions(store, jobs, options);
       secs.add(seconds_since(t0));
-      check_parity(run.results, "pool", workers, t);
+      // Every trial of every pool size must reproduce the reference
+      // fingerprints (trial 0 of the first pool size); this is the bench's
+      // divergence gate, not just its banner.
+      const auto fps = fingerprints_of(run.results);
+      if (reference_fps.empty()) {
+        reference_fps = fps;
+      } else if (fps != reference_fps) {
+        identical = false;
+        std::printf("!! pool(%u) trial %d traces differ from the reference\n", workers, t);
+      }
     }
-    record("pool", workers, secs);
+    PoolResult r;
+    r.workers = workers;
+    r.seconds_mean = secs.mean();
+    r.sessions_per_sec = static_cast<double>(sessions) / secs.mean();
+    pools.push_back(r);
+    char sps[32], sec[32];
+    std::snprintf(sps, sizeof(sps), "%.1f", r.sessions_per_sec);
+    std::snprintf(sec, sizeof(sec), "%.3f", r.seconds_mean);
+    nmo::bench::print_row({std::to_string(workers), sps, sec}, 14);
   }
   fs::remove_all(root);
 
-  std::printf("\nper-session traces %s the thread-per-session baseline\n",
-              identical ? "byte-identical to" : "DIFFER from");
+  std::printf("\nper-session traces %s across pool sizes\n",
+              identical ? "byte-identical" : "DIFFER");
 
   if (!json_path.empty()) {
     std::ofstream json(json_path, std::ios::trunc);
     json << "{\n  \"sessions\": " << sessions << ",\n  \"trials\": " << trials
          << ",\n  \"traces_identical\": " << (identical ? "true" : "false")
-         << ",\n  \"modes\": [\n";
-    for (std::size_t i = 0; i < modes.size(); ++i) {
-      const auto& m = modes[i];
-      json << "    {\"mode\": \"" << m.mode << "\", \"workers\": " << m.workers
-           << ", \"sessions_per_sec\": " << m.sessions_per_sec
-           << ", \"seconds_mean\": " << m.seconds_mean << "}"
-           << (i + 1 < modes.size() ? ",\n" : "\n");
+         << ",\n  \"pools\": [\n";
+    for (std::size_t i = 0; i < pools.size(); ++i) {
+      const auto& p = pools[i];
+      json << "    {\"workers\": " << p.workers << ", \"sessions_per_sec\": " << p.sessions_per_sec
+           << ", \"seconds_mean\": " << p.seconds_mean << "}"
+           << (i + 1 < pools.size() ? ",\n" : "\n");
     }
     json << "  ]\n}\n";
     if (!json) {

@@ -372,7 +372,6 @@ StreamingTraceSink::StreamingTraceSink(StreamConfig config, std::string session_
 bool StreamingTraceSink::connect() {
   connect_attempted_ = true;
   Hello hello;
-  hello.trace_version = options_.version;
   hello.compress = options_.compress;
   hello.index_meta = options_.index_meta;
   hello.kind = kHelloKindSession;

@@ -142,7 +142,6 @@ struct Collector::Impl {
       if (conn.hello.kind == kHelloKindSession) {
         conn.info = store->create_session(conn.hello.name);
         store::TraceWriter::Options options;
-        options.version = conn.hello.trace_version;
         options.compress = conn.hello.compress;
         options.index_meta = conn.hello.index_meta;
         conn.writer = std::make_unique<store::TraceWriter>(conn.info.trace_path, options);

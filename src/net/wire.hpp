@@ -70,9 +70,10 @@ enum class FrameType : std::uint8_t {
 /// What a kHello declares about the stream that follows.
 struct Hello {
   std::uint16_t protocol = kProtocolVersion;
-  /// TraceWriter::Options the sender writes with - the collector ingests
-  /// with the same options so the collected artifact is byte-identical to
-  /// the sender's local capture.
+  /// The trace format and TraceWriter::Options the sender writes with -
+  /// the collector ingests with the same options so the collected artifact
+  /// is byte-identical to the sender's local capture.  Writers emit v2
+  /// only; the collector rejects any other trace_version.
   std::uint16_t trace_version = 2;
   bool compress = true;
   bool index_meta = true;

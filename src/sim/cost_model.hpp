@@ -3,7 +3,8 @@
 // All virtual-time accounting flows through these constants.  They are
 // calibrated so that the *relative* behaviour of the paper's evaluation
 // (overhead percentages, collision onsets, truncation knees) is reproduced;
-// see DESIGN.md section 5 and EXPERIMENTS.md for the calibration notes.
+// tests/test_paper_properties.cpp pins those shapes, so a recalibration
+// that breaks one fails there.
 #pragma once
 
 #include <cstdint>

@@ -109,13 +109,6 @@ struct EngineStats {
   /// Cycles the modeled consumer thread lagged new epochs (its backlog had
   /// not retired when the next round's chunks landed).
   std::uint64_t epoch_wait_cycles = 0;
-  // Streaming-capture telemetry (filled by store::run_sessions when the
-  // job teed into a net::StreamingTraceSink; all zero/false otherwise).
-  std::uint64_t stream_blocks_sent = 0;
-  std::uint64_t stream_blocks_dropped = 0;  ///< Drop-oldest ring evictions.
-  /// Capture degraded to local-only: the collector was unreachable or the
-  /// stream failed mid-run.  The on-disk trace is complete either way.
-  bool stream_fallback = false;
   // Time-budget telemetry (zero unless EngineConfig::budget was set).
   std::uint64_t budget_checkpoints = 0;  ///< Cooperative poll() visits.
   bool budget_truncated = false;  ///< The run stopped early on a tripped budget.

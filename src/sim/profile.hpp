@@ -6,9 +6,8 @@
 // workload statistics.  A WorkloadProfile captures those statistics per
 // execution phase - operation counts, instruction mix, memory-level mix -
 // and the statistical driver (stat_driver.hpp) jumps from selection to
-// selection.  Profiles can be written by hand or extracted from an exact
-// cache-simulated run (sim/profile_extractor.hpp), which is how the bench
-// profiles were produced.
+// selection.  Profiles are plain data written by hand; the built-in ones
+// for the paper's workloads live in profiles.cpp.
 #pragma once
 
 #include <array>
@@ -59,7 +58,8 @@ struct WorkloadProfile {
 
 /// Built-in calibrated profiles for the five paper workloads.  Op counts
 /// are ~10x below the paper's testbed runs so that a full figure sweep
-/// completes in seconds; every trend is preserved (DESIGN.md section 6).
+/// completes in seconds; every trend is preserved (the paper-shape checks
+/// in tests/test_paper_properties.cpp run on these profiles).
 namespace profiles {
 WorkloadProfile stream();           ///< STREAM triad: bandwidth-bound.
 WorkloadProfile cfd();              ///< Rodinia CFD: bandwidth-bound, irregular.

@@ -1,10 +1,10 @@
 // Built-in statistical profiles for the five paper workloads.
 //
-// Op counts are scaled ~10x below the paper's testbed runs (DESIGN.md
-// section 6).  Instruction mixes and memory-level mixes were calibrated
-// against exact cache-simulated runs of the workload implementations in
-// src/workloads (see sim/profile_extractor.hpp and the calibration test in
-// tests/test_profile_extractor.cpp):
+// Op counts are scaled ~10x below the paper's testbed runs so a full
+// figure sweep completes in seconds; the paper-shape checks in
+// tests/test_paper_properties.cpp hold at this scale.  Instruction mixes
+// and memory-level mixes follow the access patterns of the workload
+// implementations in src/workloads:
 //
 //  * STREAM triad streams three arrays; at 64-byte lines and 8-byte
 //    elements one access in eight per array misses all caches, so the

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 #include "core/budget.hpp"
 #include "store/region_file.hpp"
@@ -139,8 +138,7 @@ void run_one_session(SessionStore& store, const SessionJob& job, const RunOption
   } catch (const std::exception& e) {
     result.error = e.what();
   } catch (...) {
-    // A non-std exception escaping here would either wedge a pool worker
-    // or (on the threaded path) std::terminate the whole process.
+    // A non-std exception escaping here would wedge a pool worker.
     result.error = "unknown exception";
   }
 }
@@ -239,30 +237,6 @@ void write_scheduler_meta(const std::string& root, const SchedulerConfig& config
       }
     }
   }
-}
-
-/// Thread-per-session executor (RunOptions{.threaded = true}): the
-/// pre-scheduler baseline.  No admission control, no scheduler.meta.
-MultiSessionRun run_sessions_thread_per_job(SessionStore& store,
-                                            const std::vector<SessionJob>& jobs,
-                                            const RunOptions& options) {
-  MultiSessionRun run;
-  run.results.resize(jobs.size());
-  std::vector<std::thread> threads;
-  threads.reserve(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    threads.push_back(sys::named_thread(
-        "nmo-sess" + std::to_string(i),
-        [&store, &options, &job = jobs[i], &result = run.results[i]] {
-          run_one_session(store, job, options, result);
-          result.state =
-              result.error.empty() ? core::SessionState::kDone : core::SessionState::kFailed;
-          result.report.sched_state = result.state;
-          write_session_meta(result);
-        }));
-  }
-  for (auto& t : threads) t.join();
-  return run;
 }
 
 /// Shared context of one pooled run; lives on run_sessions' stack for the
@@ -421,8 +395,6 @@ std::vector<SessionInfo> SessionStore::sessions() const {
 
 MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>& jobs,
                              const RunOptions& options) {
-  if (options.threaded) return run_sessions_thread_per_job(store, jobs, options);
-
   MultiSessionRun run;
   run.results.resize(jobs.size());
   std::vector<std::optional<TaskId>> tickets(jobs.size());
@@ -488,20 +460,6 @@ MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>&
     break;
   }
   return run;
-}
-
-MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>& jobs,
-                             const SchedulerConfig& config) {
-  RunOptions options;
-  options.scheduler = config;
-  return run_sessions(store, jobs, options);
-}
-
-std::vector<SessionResult> run_sessions_threaded(SessionStore& store,
-                                                 const std::vector<SessionJob>& jobs) {
-  RunOptions options;
-  options.threaded = true;
-  return run_sessions(store, jobs, options).results;
 }
 
 }  // namespace nmo::store

@@ -10,19 +10,17 @@
 // upstream NMO's one-trace-per-run layout, with nmo-trace
 // (tools/nmo_trace.cpp) as the merge/query companion.
 //
-// run_sessions(store, jobs, RunOptions) is the single concurrent runner.
-// By default it schedules jobs onto the bounded multi-tenant worker pool
-// of store/scheduler.hpp: `max_workers` workers pull from a
-// priority/deadline/tenant-aware admission queue instead of the old
-// thread-per-session spawn (which collapses under fleet-scale job
-// counts).  RunOptions carries the whole scheduling surface in one place -
-// pool size, admission policy, the tenant table with weights and caps, a
-// run-wide trace-format override - while per-job knobs (tenant name,
-// priority, deadline, time budget and overrun policy) live on SessionJob /
-// JobLimits.  RunOptions{.threaded = true} selects the legacy
-// thread-per-session executor, the baseline the scheduler bench and the
-// parity tests compare against: both paths must produce byte-identical
-// session traces (and therefore byte-identical merges).
+// run_sessions(store, jobs, RunOptions) is the concurrent runner.  It
+// schedules jobs onto the bounded multi-tenant worker pool of
+// store/scheduler.hpp: `max_workers` workers pull from a
+// priority/deadline/tenant-aware admission queue, so fleet-scale job
+// counts never mean one thread per job.  RunOptions carries the whole
+// scheduling surface in one place - pool size, admission policy, the
+// tenant table with weights and caps, a run-wide trace-options override -
+// while per-job knobs (tenant name, priority, deadline, time budget and
+// overrun policy) live on SessionJob / JobLimits.  Each session's trace is
+// byte-identical to profiling the job alone and writing its trace
+// serially, whatever the pool size (the parity tests check exactly that).
 //
 // Alongside each trace the runner persists a `session.meta` key=value
 // file (lifecycle state, worker slot, queue wait, samples, fingerprint,
@@ -152,9 +150,8 @@ struct SessionJob {
   std::optional<std::uint32_t> home_node;
   /// Time budget / deadline / overrun policy for this job.
   JobLimits limits;
-  /// Trace file format for this session's output (default: v2 with the
-  /// block codec; Options{.version = kTraceVersion1} pins the legacy
-  /// format for stores older tooling must read).  RunOptions::trace_options
+  /// Trace file options for this session's output (default: v2 with the
+  /// block codec and the index metadata section).  RunOptions::trace_options
   /// overrides this run-wide when set.
   TraceWriter::Options trace_options;
   /// When set, the session tees every closed trace block to an nmo-traced
@@ -198,7 +195,7 @@ struct SessionResult {
 };
 
 /// run_sessions outcome: per-job results (in job order) plus the pool's
-/// aggregate stats (zeroed on the threaded path, which has no pool).
+/// aggregate stats.
 struct MultiSessionRun {
   std::vector<SessionResult> results;
   SchedulerStats stats;
@@ -212,31 +209,17 @@ struct RunOptions {
   /// no deadlines, no budgets) reproduces the pre-tenant scheduler
   /// behavior exactly.
   SchedulerConfig scheduler;
-  /// Run-wide trace format override; unset = each job's own
+  /// Run-wide trace options override; unset = each job's own
   /// SessionJob::trace_options.
   std::optional<TraceWriter::Options> trace_options;
-  /// Use the legacy thread-per-session executor (one std::thread per job,
-  /// no admission control, no scheduler.meta) - the baseline the scheduler
-  /// is benchmarked and parity-tested against.
-  bool threaded = false;
 };
 
 /// Runs every job per `options`, each admitted job writing its canonical
 /// trace + region sidecar + session.meta into its own session directory,
-/// and (pool path) the aggregate SchedulerStats with per-tenant rows into
+/// and the aggregate SchedulerStats with per-tenant rows into
 /// `<root>/scheduler.meta`.  Results are in job order; jobs turned away by
 /// admission control carry kRejected/kShed/kExpired and a non-empty error.
 MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>& jobs,
                              const RunOptions& options = {});
-
-/// Deprecated shim for the pre-RunOptions signature; forwards to
-/// run_sessions(store, jobs, RunOptions{.scheduler = config}).
-MultiSessionRun run_sessions(SessionStore& store, const std::vector<SessionJob>& jobs,
-                             const SchedulerConfig& config);
-
-/// Deprecated shim for the old thread-per-session runner; forwards to
-/// run_sessions(store, jobs, RunOptions{.threaded = true}).
-std::vector<SessionResult> run_sessions_threaded(SessionStore& store,
-                                                 const std::vector<SessionJob>& jobs);
 
 }  // namespace nmo::store

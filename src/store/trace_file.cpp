@@ -383,14 +383,9 @@ TraceWriter::TraceWriter(const std::string& path, Options options)
     closed_ = true;
     return;
   }
-  if (options_.version != kTraceVersion1 && options_.version != kTraceVersion2) {
-    error_ = "unsupported trace version " + std::to_string(options_.version);
-    closed_ = true;
-    return;
-  }
   std::vector<std::byte> header;
   put_bytes(header, kTraceMagic, 4);
-  put_bytes(header, options_.version, 2);
+  put_bytes(header, kTraceVersion, 2);
   put_bytes(header, 0, 2);  // reserved
   write_raw(out_, header.data(), header.size());
   write_offset_ = header.size();
@@ -416,26 +411,16 @@ void TraceWriter::add(const core::TraceSample& s) {
     error_ = "region id " + std::to_string(s.region) + " is below the format's -1 floor";
     return;
   }
-  if (options_.version == kTraceVersion1) {
-    // v1 blocks hold one core: flush on a core switch (or a full block).
-    if (block_count_ > 0 && (s.core != block_core_ || block_count_ >= kMaxBlockSamples)) {
-      flush_block();
-    }
-    if (block_count_ == 0) block_core_ = s.core;
-  } else {
-    // v2 blocks interleave cores freely; only fullness closes one.
-    if (block_count_ >= kMaxBlockSamples) flush_block();
-    std::size_t slot = 0;
-    while (slot < block_cores_.size() && block_cores_[slot].core != s.core) ++slot;
-    if (slot == block_cores_.size()) {
-      // First appearance in this block: snapshot the core's predictor as
-      // its delta base, written into the block header so the block decodes
-      // alone.
-      block_cores_.push_back(
-          detail::BlockCoreBase{s.core, predictor_for(predictors_, s.core)});
-    }
-    put_varint(block_, slot);
+  // Blocks interleave cores freely; only fullness closes one.
+  if (block_count_ >= kMaxBlockSamples) flush_block();
+  std::size_t slot = 0;
+  while (slot < block_cores_.size() && block_cores_[slot].core != s.core) ++slot;
+  if (slot == block_cores_.size()) {
+    // First appearance in this block: snapshot the core's predictor as its
+    // delta base, written into the block header so the block decodes alone.
+    block_cores_.push_back(detail::BlockCoreBase{s.core, predictor_for(predictors_, s.core)});
   }
+  put_varint(block_, slot);
 
   auto& pred = predictor_for(predictors_, s.core);
   put_varint(block_, delta_of(s.time_ns, pred.time_ns));
@@ -450,7 +435,7 @@ void TraceWriter::add(const core::TraceSample& s) {
   pred.pc = s.pc;
 
   core::fingerprint_update(md5_, s);
-  if (options_.version == kTraceVersion2) block_meta_.absorb(s);
+  block_meta_.absorb(s);
   ++count_;
   ++block_count_;
 }
@@ -463,17 +448,6 @@ void TraceWriter::flush_block() {
   if (block_count_ == 0) return;
   std::vector<std::byte> head;
   head.push_back(static_cast<std::byte>(kBlockMarker));
-  if (options_.version == kTraceVersion1) {
-    put_varint(head, block_core_);
-    put_varint(head, block_count_);
-    write_raw(out_, head.data(), head.size());
-    write_raw(out_, block_.data(), block_.size());
-    write_offset_ += head.size() + block_.size();
-    block_.clear();
-    block_count_ = 0;
-    return;
-  }
-
   const std::byte* payload = block_.data();
   std::size_t payload_size = block_.size();
   std::vector<std::byte> packed;
@@ -534,41 +508,38 @@ bool TraceWriter::close() {
   closed_ = true;
   flush_block();
 
-  std::uint64_t index_offset = 0;
-  if (options_.version == kTraceVersion2) {
-    index_offset = write_offset_;
-    std::vector<std::byte> section;
-    section.push_back(static_cast<std::byte>(kIndexMarker));
-    put_varint(section, index_.size());
-    std::uint64_t prev = 0;
-    for (const auto& entry : index_) {
-      // Offsets are strictly increasing; deltas keep the entries tiny.
-      put_varint(section, entry.offset - prev);
-      prev = entry.offset;
-      put_varint(section, entry.core);
-      put_varint(section, entry.samples);
-    }
-    write_raw(out_, section.data(), section.size());
-    write_offset_ += section.size();
+  const std::uint64_t index_offset = write_offset_;
+  std::vector<std::byte> section;
+  section.push_back(static_cast<std::byte>(kIndexMarker));
+  put_varint(section, index_.size());
+  std::uint64_t prev = 0;
+  for (const auto& entry : index_) {
+    // Offsets are strictly increasing; deltas keep the entries tiny.
+    put_varint(section, entry.offset - prev);
+    prev = entry.offset;
+    put_varint(section, entry.core);
+    put_varint(section, entry.samples);
+  }
+  write_raw(out_, section.data(), section.size());
+  write_offset_ += section.size();
 
-    if (options_.index_meta) {
-      // The metadata section rides between the index and the footer; the
-      // footer's index offset still names the index marker, so readers that
-      // predate the section never see it and the footer layout is untouched.
-      std::vector<std::byte> meta;
-      meta.push_back(static_cast<std::byte>(kMetaMarker));
-      put_varint(meta, meta_.size());
-      for (const auto& m : meta_) {
-        put_varint(meta, m.min_time);
-        put_varint(meta, m.max_time - m.min_time);
-        put_varint(meta, m.min_addr);
-        put_varint(meta, m.max_addr - m.min_addr);
-        for (std::size_t l = 0; l < kNumMemLevels; ++l) put_varint(meta, m.level_samples[l]);
-        put_varint(meta, m.region_bits);
-      }
-      write_raw(out_, meta.data(), meta.size());
-      write_offset_ += meta.size();
+  if (options_.index_meta) {
+    // The metadata section rides between the index and the footer; the
+    // footer's index offset still names the index marker, so readers that
+    // predate the section never see it and the footer layout is untouched.
+    std::vector<std::byte> meta;
+    meta.push_back(static_cast<std::byte>(kMetaMarker));
+    put_varint(meta, meta_.size());
+    for (const auto& m : meta_) {
+      put_varint(meta, m.min_time);
+      put_varint(meta, m.max_time - m.min_time);
+      put_varint(meta, m.min_addr);
+      put_varint(meta, m.max_addr - m.min_addr);
+      for (std::size_t l = 0; l < kNumMemLevels; ++l) put_varint(meta, m.level_samples[l]);
+      put_varint(meta, m.region_bits);
     }
+    write_raw(out_, meta.data(), meta.size());
+    write_offset_ += meta.size();
   }
 
   const auto digest = md5_.digest();
@@ -577,7 +548,7 @@ bool TraceWriter::close() {
   footer.push_back(static_cast<std::byte>(kFooterMarker));
   put_bytes(footer, count_, 8);
   for (const std::uint8_t b : digest) footer.push_back(static_cast<std::byte>(b));
-  if (options_.version == kTraceVersion2) put_bytes(footer, index_offset, 8);
+  put_bytes(footer, index_offset, 8);
   put_bytes(footer, kTraceEndMagic, 4);
   write_raw(out_, footer.data(), footer.size());
   out_.flush();
@@ -1011,9 +982,6 @@ std::optional<TraceFileInfo> TraceReader::probe(const std::string& path) {
   if (!load_index_from_end(in, info, index, meta, message)) return std::nullopt;
   return info;
 }
-
-// read_all_parallel() lives in trace_query.cpp: it is a thin legacy wrapper
-// over TraceQuery, which owns the block partitioning and worker logic now.
 
 bool decode_v2_block(std::span<const std::byte> block, std::vector<core::TraceSample>& out,
                      std::string* error) {

@@ -54,7 +54,7 @@
 // payload may pass through the block codec (store/block_codec.hpp); a
 // block that does not shrink is stored raw.  The index footer records
 // every block's file offset, first core and sample count, which buys O(1)
-// seek_block() and block-parallel decode (read_all_parallel).  The optional
+// seek_block() and block-parallel decode (TraceQuery::run).  The optional
 // metadata section after the index summarizes each block's contents -
 // time/address bounds, per-level sample counts, a region-presence bitmap -
 // so a query (store/trace_query.hpp) can prove a block holds no matching
@@ -62,8 +62,8 @@
 // additive: v2 files without it (anything written before the section
 // existed, or with Options::index_meta = false) read exactly as before,
 // and the footer layout is unchanged.  Readers accept both versions
-// byte-for-byte; writers emit v2 unless TraceWriter::Options says
-// otherwise.
+// byte-for-byte; the writer emits v2 only (tests/data/fixture_v1.nmot is
+// the v1 compatibility oracle).
 //
 // The footer carries the sample count and the MD5 fingerprint over the
 // samples in file order, computed with the very routine SampleTrace uses
@@ -91,11 +91,12 @@ namespace nmo::store {
 
 inline constexpr std::uint32_t kTraceMagic = 0x544F4D4E;     // "NMOT" little-endian
 inline constexpr std::uint32_t kTraceEndMagic = 0x454F4D4E;  // "NMOE" little-endian
-/// The legacy format: shared-predictor blocks, no codec, no index.
+/// The legacy format: shared-predictor blocks, no codec, no index.  Read
+/// only; `nmo-trace compress` rewrites such files as v2.
 inline constexpr std::uint16_t kTraceVersion1 = 1;
 /// Self-contained (optionally compressed) blocks + block-index footer.
 inline constexpr std::uint16_t kTraceVersion2 = 2;
-/// What TraceWriter emits by default.
+/// What TraceWriter emits.
 inline constexpr std::uint16_t kTraceVersion = kTraceVersion2;
 inline constexpr std::uint8_t kBlockMarker = 0xB7;
 inline constexpr std::uint8_t kIndexMarker = 0xA9;
@@ -214,34 +215,30 @@ class TraceWriter {
   /// decode working set of a streaming reader.
   static constexpr std::size_t kMaxBlockSamples = 512;
 
-  /// Output format knobs.  The default writes the current version with the
-  /// block codec enabled; Options{.version = kTraceVersion1} reproduces the
-  /// legacy format bit for bit (compress is ignored for v1, which has no
-  /// codec stage).
+  /// Output knobs.  The default enables the block codec and the metadata
+  /// section.
   struct Options {
-    std::uint16_t version = kTraceVersion;
-    /// v2 only: run each block payload through the LZ codec, storing raw
-    /// when compression does not shrink the block.
+    /// Run each block payload through the LZ codec, storing raw when
+    /// compression does not shrink the block.
     bool compress = true;
-    /// v2 only: emit the per-block metadata section after the index, which
+    /// Emit the per-block metadata section after the index, which
     /// TraceQuery uses for predicate pushdown.  Off reproduces the
     /// pre-metadata v2 layout bit for bit.
     bool index_meta = true;
   };
 
-  /// Observes every closed v2 block as the exact bytes written to the file
+  /// Observes every closed block as the exact bytes written to the file
   /// (marker, header, payload - the self-contained wire unit the streaming
   /// layer ships verbatim, see net/wire.hpp).  Called synchronously on the
   /// writer's thread at block flush, before close() returns; `samples` and
-  /// `first_core` mirror the block's index entry.  v1 blocks are not
-  /// self-contained and are never observed.
+  /// `first_core` mirror the block's index entry.
   using BlockObserver = std::function<void(std::span<const std::byte> block_bytes,
                                            std::uint32_t samples, CoreId first_core)>;
 
   /// Opens `path` for writing and emits the header.  Check ok(); an
-  /// unsupported options.version is an error, not an exception.  The
-  /// single-argument overload writes the default Options (in-class default
-  /// arguments cannot name a nested class's member initializers).
+  /// unopenable path is an error, not an exception.  The single-argument
+  /// overload writes the default Options (in-class default arguments cannot
+  /// name a nested class's member initializers).
   explicit TraceWriter(const std::string& path);
   TraceWriter(const std::string& path, Options options);
   ~TraceWriter();
@@ -254,12 +251,12 @@ class TraceWriter {
   /// them all.
   void set_block_observer(BlockObserver observer) { observer_ = std::move(observer); }
 
-  /// Appends one sample (buffered; flushed on core change / block full).
+  /// Appends one sample (buffered; flushed when the block is full).
   void add(const core::TraceSample& s);
   /// Appends every sample of `trace` in order.
   void write_all(const core::SampleTrace& trace);
 
-  /// Flushes the open block, writes the index (v2) + footer and closes the
+  /// Flushes the open block, writes the index + footer and closes the
   /// file.  Idempotent; also run by the destructor.  Returns ok().  If an
   /// add() error is pending the footer is withheld (see abandon()) so the
   /// partial file can never validate as complete.
@@ -284,14 +281,13 @@ class TraceWriter {
   Options options_;
   std::string error_;
   std::vector<std::byte> block_;  ///< Encoded payload of the open block.
-  CoreId block_core_ = 0;         ///< v1: the open block's single core.
   std::uint32_t block_count_ = 0;
-  std::vector<detail::BlockCoreBase> block_cores_;  ///< v2: the open block's core table.
+  std::vector<detail::BlockCoreBase> block_cores_;  ///< The open block's core table.
   std::vector<detail::CorePredictor> predictors_;   ///< Indexed by core (grown on demand).
-  std::vector<BlockIndexEntry> index_;             ///< v2: one entry per flushed block.
-  BlockMeta block_meta_;                           ///< v2: summary of the open block.
-  std::vector<BlockMeta> meta_;                    ///< v2: one summary per flushed block.
-  BlockObserver observer_;                         ///< v2: closed-block tee (may be empty).
+  std::vector<BlockIndexEntry> index_;             ///< One entry per flushed block.
+  BlockMeta block_meta_;                           ///< Summary of the open block.
+  std::vector<BlockMeta> meta_;                    ///< One summary per flushed block.
+  BlockObserver observer_;                         ///< Closed-block tee (may be empty).
   std::vector<std::byte> observed_;                ///< Scratch: contiguous block for observer_.
   std::uint64_t write_offset_ = 0;                 ///< Bytes written so far (next block offset).
   Md5 md5_;
@@ -313,10 +309,9 @@ class TraceReader {
   bool next(core::TraceSample& out);
 
   /// Reads and validates the entire file into a SampleTrace (in file
-  /// order).  On error the partial trace is discarded; check ok().
-  /// Legacy entry point: prefer TraceQuery (store/trace_query.hpp), which
-  /// subsumes full reads, parallel reads and filtered reads behind one
-  /// builder - `query(path).run()` is this call.
+  /// order), checking the footer count and digest.  On error the partial
+  /// trace is discarded; check ok().  TraceQuery (store/trace_query.hpp)
+  /// covers parallel and filtered reads.
   [[nodiscard]] core::SampleTrace read_all();
 
   /// Loads the v2 block index from the footer (without touching the sample
@@ -396,16 +391,5 @@ class TraceReader {
 /// sets *error) on any malformation, leaving `out` untouched.
 bool decode_v2_block(std::span<const std::byte> block, std::vector<core::TraceSample>& out,
                      std::string* error = nullptr);
-
-/// Decodes `path` with up to `threads` workers splitting the v2 block index
-/// (each worker seeks its own reader to its block range), reassembles the
-/// samples in file order and validates the footer count and digest over the
-/// result - the parallel counterpart of TraceReader::read_all().  Falls
-/// back to a streaming read for v1 traces or thread counts <= 1.  nullopt
-/// on error (message in *error when non-null).
-/// Legacy entry point: a thin wrapper over TraceQuery
-/// (`query(path).run(threads)`), kept so existing callers need not change.
-std::optional<core::SampleTrace> read_all_parallel(const std::string& path, unsigned threads,
-                                                   std::string* error = nullptr);
 
 }  // namespace nmo::store

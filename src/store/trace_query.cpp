@@ -1,7 +1,6 @@
 #include "store/trace_query.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -202,31 +201,6 @@ TraceQuery::Result TraceQuery::run(unsigned threads) const {
   result.stats.samples_matched = result.samples.size();
   result.ok = true;
   return result;
-}
-
-// --- legacy wrapper ---------------------------------------------------------
-
-std::optional<core::SampleTrace> read_all_parallel(const std::string& path, unsigned threads,
-                                                   std::string* error) {
-  auto result = TraceQuery(path).run(threads);
-  const auto fail = [&](const std::string& message) {
-    if (error) *error = message;
-    return std::nullopt;
-  };
-  if (!result.ok) return fail(result.error);
-  if (result.info.version == kTraceVersion2) {
-    // Preserve this entry point's historical guarantee: the reassembled
-    // samples are held to the footer's count and digest.  (The query's
-    // seeked workers skip digest work, so re-validate over the result.)
-    if (result.samples.size() != result.info.samples) {
-      return fail("parallel decode produced " + std::to_string(result.samples.size()) +
-                  " samples, footer declares " + std::to_string(result.info.samples));
-    }
-    if (result.samples.fingerprint() != result.info.fingerprint) {
-      return fail("fingerprint mismatch: trace is corrupt");
-    }
-  }
-  return std::move(result.samples);
 }
 
 }  // namespace nmo::store

@@ -19,10 +19,10 @@
 //   auto result = query(path).time_between(t0, t1).region(2).run(threads);
 //   if (result.ok) use(result.samples);   // file order, footer info in result.info
 //
-// TraceReader::read_all / seek_block and read_all_parallel() remain as
-// legacy entry points; read_all_parallel is now a thin wrapper over an
-// unconstrained query (plus the footer count/digest re-validation it has
-// always promised).
+// TraceReader::read_all / seek_block remain as the lower-level entry
+// points.  A v2 run() does not re-hash what it decodes: a caller that
+// needs the footer digest checked over a full read compares
+// result.samples.fingerprint() with result.info.fingerprint itself.
 #pragma once
 
 #include <cstdint>

@@ -57,7 +57,8 @@ class Executor {
   /// Allocates `bytes` of the workload's virtual address space under `tag`.
   /// `report_scale` multiplies the *reported* footprint (capacity tracking)
   /// without changing addressing - how GiB-scale CloudSuite datasets are
-  /// represented by laptop-scale runs (DESIGN.md section 2).
+  /// represented by laptop-scale runs: capacity reports (Fig. 2) show the
+  /// paper's footprint while the simulated address space stays small.
   virtual Addr alloc(std::string_view tag, std::uint64_t bytes, std::uint64_t report_scale = 1) = 0;
   virtual void dealloc(Addr base) = 0;
 

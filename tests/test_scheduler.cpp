@@ -1,6 +1,6 @@
 // The bounded session scheduler: admission-control policies, lifecycle
-// accounting, worker-pool hygiene, and byte-identical parity with the
-// thread-per-session baseline.
+// accounting, worker-pool hygiene, and byte-identical parity with a serial
+// profile-then-write reference.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/profiler.hpp"
+#include "core/session.hpp"
 #include "store/region_file.hpp"
 #include "store/scheduler.hpp"
 #include "store/session_store.hpp"
@@ -108,28 +109,47 @@ TEST_F(SchedulerTest, AdmissionPolicyNamesRoundTrip) {
 // --------------------------------------------------------- status ledger --
 
 TEST_F(SchedulerTest, StatusLedgerStaysBoundedByRetention) {
-  // The leak this issue fixes: a long-lived pool used to keep one
-  // TaskStatus per submission forever unless every caller forgot() its
-  // ids.  With a retention bound the ledger reaps terminal statuses
-  // oldest-first and stays bounded over arbitrarily many submissions.
+  // Without a retention bound a long-lived pool keeps one TaskStatus per
+  // submission unless every caller forgot() its ids.  With one, the ledger
+  // reaps terminal statuses oldest-first and stays bounded over
+  // arbitrarily many submissions.
   constexpr std::size_t kRetention = 16;
   constexpr int kTasks = 400;
+  const auto submit_all = [&](Scheduler& scheduler) {
+    std::vector<TaskId> ids;
+    for (int i = 0; i < kTasks; ++i) {
+      const auto id = scheduler.submit([](const TaskStatus&) {});
+      EXPECT_TRUE(id.has_value());
+      if (id) ids.push_back(*id);
+    }
+    scheduler.wait_idle();
+    return ids;
+  };
+
+  // Two workers: completion order is up to the OS scheduler (task 1 may
+  // finish last), so only order-free facts hold - the bound, and the
+  // newest task surviving (at most one task can finish after it).
   SchedulerConfig config;
   config.max_workers = 2;
   config.status_retention = kRetention;
-  Scheduler scheduler(config);
-  std::vector<TaskId> ids;
-  for (int i = 0; i < kTasks; ++i) {
-    const auto id = scheduler.submit([](const TaskStatus&) {});
-    ASSERT_TRUE(id.has_value());
-    ids.push_back(*id);
+  Scheduler pair(config);
+  const auto pair_ids = submit_all(pair);
+  ASSERT_EQ(pair_ids.size(), static_cast<std::size_t>(kTasks));
+  EXPECT_LE(pair.status_count(), kRetention);
+  EXPECT_EQ(pair.stats().completed, static_cast<std::uint64_t>(kTasks));
+  EXPECT_TRUE(pair.status(pair_ids.back()).has_value());
+
+  // One worker runs FIFO, so completion order is submission order and
+  // oldest-first reaping is exact: precisely the newest kRetention ids
+  // survive.
+  config.max_workers = 1;
+  Scheduler single(config);
+  const auto ids = submit_all(single);
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(single.status_count(), kRetention);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(single.status(ids[i]).has_value(), i + kRetention >= ids.size()) << "task " << i;
   }
-  scheduler.wait_idle();
-  EXPECT_LE(scheduler.status_count(), kRetention);
-  EXPECT_EQ(scheduler.stats().completed, static_cast<std::uint64_t>(kTasks));
-  // The oldest ids were reaped; the most recent terminal one survives.
-  EXPECT_FALSE(scheduler.status(ids.front()).has_value());
-  EXPECT_TRUE(scheduler.status(ids.back()).has_value());
 }
 
 TEST_F(SchedulerTest, ZeroRetentionKeepsEveryStatusUntilForgotten) {
@@ -509,16 +529,42 @@ std::vector<SessionJob> tiny_jobs(std::size_t n) {
   return jobs;
 }
 
-TEST_F(SchedulerTest, ThirtyTwoSessionsOnFourWorkersMatchThreadPerSessionBaseline) {
-  // The PR's acceptance oracle: a 32-job run capped at 4 workers must
-  // produce a merged trace byte-identical (count + MD5) to the
-  // thread-per-session baseline.
-  const auto jobs = tiny_jobs(32);
+/// One job's trace as the serial reference wrote it.
+struct SerialTrace {
+  std::string path;
+  std::string fingerprint;
+};
 
-  SessionStore baseline_store(path("baseline"));
-  RunOptions threaded_options;
-  threaded_options.threaded = true;
-  const auto baseline = run_sessions(baseline_store, jobs, threaded_options).results;
+/// The oracle the pooled runner must reproduce: each job profiled alone on
+/// the calling thread, its trace written by a default TraceWriter (region
+/// sidecar beside it) into `dir`.  In job order.
+std::vector<SerialTrace> write_serial_reference(const std::vector<SessionJob>& jobs,
+                                                const std::string& dir) {
+  fs::create_directories(dir);
+  std::vector<SerialTrace> traces;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    core::ProfileSession session(jobs[i].nmo, jobs[i].engine);
+    const auto workload = jobs[i].make_workload();
+    session.profile(*workload, jobs[i].with_baseline);
+    SerialTrace trace{dir + "/job-" + std::to_string(i) + ".nmot", ""};
+    TraceWriter writer(trace.path);
+    writer.write_all(session.profiler().trace());
+    EXPECT_TRUE(writer.close()) << writer.error();
+    trace.fingerprint = writer.fingerprint();
+    const auto& regions = session.profiler().regions().regions();
+    std::string error;
+    EXPECT_TRUE(write_region_file(region_path_for(trace.path), regions, &error)) << error;
+    traces.push_back(std::move(trace));
+  }
+  return traces;
+}
+
+TEST_F(SchedulerTest, ThirtyTwoSessionsOnFourWorkersMatchSerialReference) {
+  // A 32-job run capped at 4 workers must produce per-session traces and
+  // a merged trace byte-identical (count + MD5) to profiling each job
+  // alone and writing its trace serially.
+  const auto jobs = tiny_jobs(32);
+  const auto baseline = write_serial_reference(jobs, path("serial"));
   ASSERT_EQ(baseline.size(), 32u);
 
   RunOptions options;
@@ -532,11 +578,10 @@ TEST_F(SchedulerTest, ThirtyTwoSessionsOnFourWorkersMatchThreadPerSessionBaselin
   TraceMerger baseline_merger;
   TraceMerger pool_merger;
   for (std::size_t i = 0; i < 32; ++i) {
-    ASSERT_TRUE(baseline[i].error.empty()) << baseline[i].error;
     ASSERT_TRUE(run.results[i].error.empty()) << run.results[i].error;
     // Per-session traces are already byte-identical...
     EXPECT_EQ(run.results[i].fingerprint, baseline[i].fingerprint) << "job " << i;
-    baseline_merger.add_input(baseline[i].session.trace_path);
+    baseline_merger.add_input(baseline[i].path);
     pool_merger.add_input(run.results[i].session.trace_path);
   }
   // ...and so is the merged trace.
@@ -624,16 +669,12 @@ TEST_F(SchedulerTest, FailedJobIsReportedAndDoesNotBlockOthers) {
   EXPECT_EQ(run.stats.completed, 3u);
 }
 
-TEST_F(SchedulerTest, DefaultedRunOptionsMatchThreadedBaselineByteForByte) {
-  // The API-migration oracle: run_sessions with a defaulted RunOptions
-  // (the new one-call entry point) must reproduce the legacy behavior -
-  // same per-session fingerprints, byte-identical merged trace.
+TEST_F(SchedulerTest, DefaultedRunOptionsMatchSerialReferenceByteForByte) {
+  // run_sessions with a defaulted RunOptions (hardware-concurrency
+  // workers) must reproduce the serial reference - same per-session
+  // fingerprints, byte-identical merged trace.
   const auto jobs = tiny_jobs(6);
-
-  SessionStore threaded_store(path("threaded"));
-  RunOptions threaded_options;
-  threaded_options.threaded = true;
-  const auto baseline = run_sessions(threaded_store, jobs, threaded_options).results;
+  const auto baseline = write_serial_reference(jobs, path("serial"));
 
   SessionStore pool_store(path("pool"));
   const auto run = run_sessions(pool_store, jobs);  // everything defaulted
@@ -642,10 +683,9 @@ TEST_F(SchedulerTest, DefaultedRunOptionsMatchThreadedBaselineByteForByte) {
   TraceMerger baseline_merger;
   TraceMerger pool_merger;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(baseline[i].error.empty()) << baseline[i].error;
     ASSERT_TRUE(run.results[i].error.empty()) << run.results[i].error;
     EXPECT_EQ(run.results[i].fingerprint, baseline[i].fingerprint) << "job " << i;
-    baseline_merger.add_input(baseline[i].session.trace_path);
+    baseline_merger.add_input(baseline[i].path);
     pool_merger.add_input(run.results[i].session.trace_path);
   }
   const auto baseline_stats = baseline_merger.merge_to(path("baseline.nmot"));
@@ -654,29 +694,6 @@ TEST_F(SchedulerTest, DefaultedRunOptionsMatchThreadedBaselineByteForByte) {
   ASSERT_TRUE(pool_stats.has_value()) << pool_merger.error();
   EXPECT_EQ(pool_stats->samples, baseline_stats->samples);
   EXPECT_EQ(pool_stats->fingerprint, baseline_stats->fingerprint);
-}
-
-TEST_F(SchedulerTest, DeprecatedShimsForwardToTheRunOptionsRunner) {
-  // The pre-RunOptions signatures survive as thin shims; both must behave
-  // exactly like their RunOptions equivalents.
-  const auto jobs = tiny_jobs(2);
-
-  SessionStore config_store(path("config-shim"));
-  SchedulerConfig config;
-  config.max_workers = 2;
-  const auto via_config = run_sessions(config_store, jobs, config);
-  ASSERT_EQ(via_config.results.size(), 2u);
-
-  SessionStore threaded_store(path("threaded-shim"));
-  const auto via_threaded = run_sessions_threaded(threaded_store, jobs);
-  ASSERT_EQ(via_threaded.size(), 2u);
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(via_config.results[i].error.empty()) << via_config.results[i].error;
-    ASSERT_TRUE(via_threaded[i].error.empty()) << via_threaded[i].error;
-    EXPECT_EQ(via_config.results[i].fingerprint, via_threaded[i].fingerprint);
-  }
-  EXPECT_EQ(via_config.stats.completed, 2u);
 }
 
 // ------------------------------------------------------ deadlines / EDF --

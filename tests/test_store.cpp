@@ -18,6 +18,7 @@
 #include "store/session_store.hpp"
 #include "store/trace_file.hpp"
 #include "store/trace_merger.hpp"
+#include "store/trace_query.hpp"
 #include "workloads/stream.hpp"
 
 namespace nmo::store {
@@ -71,6 +72,19 @@ std::string csv_of(const core::SampleTrace& t) {
   std::ostringstream out;
   t.write_csv(out);
   return out.str();
+}
+
+/// The checked-in v1 trace: the only v1 input now that no writer emits v1.
+/// Written by the former v1 writer; 512 time-sorted samples on 4 cores.
+const std::string kV1Fixture = std::string(NMO_TEST_DATA_DIR) + "/fixture_v1.nmot";
+/// Its pinned decode fingerprint (fixed at fixture-generation time).
+constexpr const char* kV1FixtureFingerprint = "23055a459f9b4cc87cb98dea5d84bb11";
+
+core::SampleTrace read_v1_fixture() {
+  TraceReader reader(kV1Fixture);
+  auto trace = reader.read_all();
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  return trace;
 }
 
 // ------------------------------------------------------------- round trip --
@@ -248,31 +262,6 @@ TEST_F(StoreTest, WriterRejectsOutOfRangeCoreId) {
 
 // ------------------------------------------------------------- format v2 --
 
-TEST_F(StoreTest, WriterDefaultsToV2AndV1KnobStillWritesV1) {
-  const auto trace = random_trace(3000, 21);
-  TraceWriter v2(path("v2.nmot"));
-  v2.write_all(trace);
-  ASSERT_TRUE(v2.close());
-  TraceWriter v1(path("v1.nmot"), TraceWriter::Options{kTraceVersion1, false});
-  v1.write_all(trace);
-  ASSERT_TRUE(v1.close());
-
-  TraceReader r2(path("v2.nmot"));
-  const auto back2 = r2.read_all();
-  ASSERT_TRUE(r2.ok()) << r2.error();
-  EXPECT_EQ(r2.info().version, kTraceVersion2);
-  TraceReader r1(path("v1.nmot"));
-  const auto back1 = r1.read_all();
-  ASSERT_TRUE(r1.ok()) << r1.error();
-  EXPECT_EQ(r1.info().version, kTraceVersion1);
-
-  // Same samples, same CSV, same fingerprint - the format version is
-  // invisible above the decode layer.
-  EXPECT_EQ(csv_of(back1), csv_of(back2));
-  EXPECT_EQ(back1.fingerprint(), trace.fingerprint());
-  EXPECT_EQ(back2.fingerprint(), trace.fingerprint());
-}
-
 TEST_F(StoreTest, V2CompressionIsLosslessAndSmaller) {
   // A stride-regular trace (the codec's target shape): v2+lz must shrink
   // the file and still round-trip byte-exactly.
@@ -287,10 +276,10 @@ TEST_F(StoreTest, V2CompressionIsLosslessAndSmaller) {
     s.region = static_cast<std::int32_t>(i % 3);
     trace.add(s);
   }
-  TraceWriter raw(path("raw.nmot"), TraceWriter::Options{kTraceVersion2, false});
+  TraceWriter raw(path("raw.nmot"), TraceWriter::Options{.compress = false});
   raw.write_all(trace);
   ASSERT_TRUE(raw.close());
-  TraceWriter lz(path("lz.nmot"), TraceWriter::Options{kTraceVersion2, true});
+  TraceWriter lz(path("lz.nmot"), TraceWriter::Options{.compress = true});
   lz.write_all(trace);
   ASSERT_TRUE(lz.close());
 
@@ -303,18 +292,17 @@ TEST_F(StoreTest, V2CompressionIsLosslessAndSmaller) {
 }
 
 TEST_F(StoreTest, V1ToV2RewriteIsLossless) {
-  // The `nmo-trace compress` path at the library level: stream a v1 file
-  // into a v2 writer; CSV and fingerprint must be byte-identical, in both
-  // codec modes.
-  const auto trace = random_trace(5000, 22);
-  TraceWriter v1(path("v1.nmot"), TraceWriter::Options{kTraceVersion1, false});
-  v1.write_all(trace);
-  ASSERT_TRUE(v1.close());
+  // The `nmo-trace compress` path at the library level: stream the v1
+  // fixture into a v2 writer; CSV and fingerprint must be byte-identical,
+  // in both codec modes - the format version is invisible above the decode
+  // layer.
+  const auto trace = read_v1_fixture();
+  ASSERT_EQ(trace.fingerprint(), kV1FixtureFingerprint);
 
   for (const bool compress : {false, true}) {
     const std::string out = path(compress ? "v2lz.nmot" : "v2raw.nmot");
-    TraceReader reader(path("v1.nmot"));
-    TraceWriter writer(out, TraceWriter::Options{kTraceVersion2, compress});
+    TraceReader reader(kV1Fixture);
+    TraceWriter writer(out, TraceWriter::Options{.compress = compress});
     core::TraceSample s;
     while (reader.next(s)) writer.add(s);
     ASSERT_TRUE(reader.ok()) << reader.error();
@@ -324,8 +312,9 @@ TEST_F(StoreTest, V1ToV2RewriteIsLossless) {
     TraceReader back(out);
     const auto rewritten = back.read_all();
     ASSERT_TRUE(back.ok()) << back.error();
+    EXPECT_EQ(back.info().version, kTraceVersion2);
     EXPECT_EQ(csv_of(rewritten), csv_of(trace));
-    EXPECT_EQ(rewritten.fingerprint(), trace.fingerprint());
+    EXPECT_EQ(rewritten.fingerprint(), kV1FixtureFingerprint);
   }
 }
 
@@ -379,59 +368,50 @@ TEST_F(StoreTest, LoadIndexAndSeekBlockDecodeEveryBlockIndependently) {
 }
 
 TEST_F(StoreTest, SeekBlockIsRefusedOnV1Traces) {
-  const auto trace = random_trace(500, 24);
-  TraceWriter writer(path("v1.nmot"), TraceWriter::Options{kTraceVersion1, false});
-  writer.write_all(trace);
-  ASSERT_TRUE(writer.close());
-
-  TraceReader reader(path("v1.nmot"));
+  TraceReader reader(kV1Fixture);
   EXPECT_FALSE(reader.load_index());
   EXPECT_FALSE(reader.seek_block(0));
   // Refusal is not an error: the reader still streams the file fine.
   ASSERT_TRUE(reader.ok()) << reader.error();
   const auto back = reader.read_all();
   ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(back.fingerprint(), trace.fingerprint());
+  EXPECT_EQ(back.fingerprint(), kV1FixtureFingerprint);
 }
 
-TEST_F(StoreTest, ReadAllParallelMatchesStreamingRead) {
+TEST_F(StoreTest, ParallelFullQueryMatchesStreamingRead) {
   const auto trace = random_trace(6000, 25);
   TraceWriter writer(path("t.nmot"));
   writer.write_all(trace);
   ASSERT_TRUE(writer.close());
 
   for (const unsigned threads : {1u, 3u, 4u, 16u}) {
-    std::string error;
-    const auto back = read_all_parallel(path("t.nmot"), threads, &error);
-    ASSERT_TRUE(back.has_value()) << error;
-    EXPECT_EQ(csv_of(*back), csv_of(trace));
-    EXPECT_EQ(back->fingerprint(), trace.fingerprint());
+    const auto back = query(path("t.nmot")).run(threads);
+    ASSERT_TRUE(back.ok) << back.error;
+    EXPECT_EQ(csv_of(back.samples), csv_of(trace));
+    // The reassembled samples hash to the footer digest.
+    EXPECT_EQ(back.samples.fingerprint(), back.info.fingerprint);
+    EXPECT_EQ(back.samples.fingerprint(), trace.fingerprint());
   }
   // v1 falls back to the streaming path instead of failing.
-  TraceWriter v1(path("v1.nmot"), TraceWriter::Options{kTraceVersion1, false});
-  v1.write_all(trace);
-  ASSERT_TRUE(v1.close());
-  std::string error;
-  const auto back = read_all_parallel(path("v1.nmot"), 4, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_EQ(back->fingerprint(), trace.fingerprint());
+  const auto back = query(kV1Fixture).run(4);
+  ASSERT_TRUE(back.ok) << back.error;
+  EXPECT_EQ(back.samples.fingerprint(), kV1FixtureFingerprint);
 }
 
 TEST_F(StoreTest, CheckedInV1FixtureStaysReadable) {
-  // The compat oracle: this fixture was written by the v1 writer and is
-  // checked into the repo, so any change that breaks byte-for-byte v1
-  // reading fails here - no matter what the current writer emits.
-  const std::string fixture = std::string(NMO_TEST_DATA_DIR) + "/fixture_v1.nmot";
-  TraceReader reader(fixture);
+  // The compat oracle: this fixture was written by the former v1 writer
+  // and is checked into the repo, so any change that breaks byte-for-byte
+  // v1 reading fails here - no matter what the current writer emits.
+  TraceReader reader(kV1Fixture);
   const auto trace = reader.read_all();
   ASSERT_TRUE(reader.ok()) << reader.error();
   EXPECT_EQ(reader.info().version, kTraceVersion1);
   EXPECT_EQ(trace.size(), 512u);
   // Pinned at fixture-generation time: decoding to any other fingerprint
   // means the v1 decode path changed meaning, not just shape.
-  EXPECT_EQ(trace.fingerprint(), "23055a459f9b4cc87cb98dea5d84bb11");
+  EXPECT_EQ(trace.fingerprint(), kV1FixtureFingerprint);
   EXPECT_EQ(trace.fingerprint(), reader.info().fingerprint);
-  const auto probed = TraceReader::probe(fixture);
+  const auto probed = TraceReader::probe(kV1Fixture);
   ASSERT_TRUE(probed.has_value());
   EXPECT_EQ(probed->fingerprint, reader.info().fingerprint);
 }
@@ -475,26 +455,28 @@ TEST_F(StoreTest, MergeOfRandomShardsEqualsSortCanonicalOfConcatenation) {
   EXPECT_EQ(merged.fingerprint(), reference.fingerprint());
 }
 
-TEST_F(StoreTest, MergeOutputVersionDoesNotChangeTheFingerprint) {
-  // Acceptance oracle of ISSUE 5: merged v2 outputs match the v1 merge
-  // fingerprint, over mixed-version inputs.
-  auto all = random_trace(4000, 20);
-  constexpr std::size_t kShards = 4;
+TEST_F(StoreTest, MergeOfMixedVersionInputsIsCodecIndependent) {
+  // Merged outputs match the in-memory canonical merge whatever the output
+  // codec, over mixed-version inputs: the v1 fixture plus v2+codec shards.
+  const auto all = random_trace(4000, 20);
+  constexpr std::size_t kShards = 3;
   std::mt19937 rng(17);
   std::vector<std::unique_ptr<TraceWriter>> writers;
   for (std::size_t i = 0; i < kShards; ++i) {
-    const std::string p = path("shard" + std::to_string(i) + ".nmot");
-    // Half the inputs v1, half v2+codec: the merger reads either.
-    TraceWriter::Options options;
-    if (i % 2 == 0) options.version = kTraceVersion1;
-    writers.push_back(std::make_unique<TraceWriter>(p, options));
+    writers.push_back(std::make_unique<TraceWriter>(path("shard" + std::to_string(i) + ".nmot")));
   }
   for (const auto& s : all.samples()) writers[rng() % kShards]->add(s);
   for (auto& w : writers) ASSERT_TRUE(w->close());
 
+  core::SampleTrace reference;
+  reference.append(read_v1_fixture());
+  reference.append(all);
+  reference.sort_canonical();
+
   const auto merge_with = [&](const char* out_name,
                               TraceWriter::Options options) -> std::string {
     TraceMerger merger;
+    merger.add_input(kV1Fixture);
     for (std::size_t i = 0; i < kShards; ++i) {
       merger.add_input(path("shard" + std::to_string(i) + ".nmot"));
     }
@@ -503,18 +485,18 @@ TEST_F(StoreTest, MergeOutputVersionDoesNotChangeTheFingerprint) {
     EXPECT_TRUE(stats.has_value()) << merger.error();
     return stats ? stats->fingerprint : std::string();
   };
-  const std::string v1_md5 = merge_with("m1.nmot", TraceWriter::Options{kTraceVersion1, false});
-  const std::string v2_md5 = merge_with("m2.nmot", TraceWriter::Options{kTraceVersion2, true});
-  EXPECT_FALSE(v1_md5.empty());
-  EXPECT_EQ(v1_md5, v2_md5);
-  EXPECT_EQ(v1_md5, all.fingerprint());
+  const std::string raw_md5 = merge_with("raw.nmot", TraceWriter::Options{.compress = false});
+  const std::string lz_md5 = merge_with("lz.nmot", TraceWriter::Options{.compress = true});
+  EXPECT_FALSE(raw_md5.empty());
+  EXPECT_EQ(raw_md5, lz_md5);
+  EXPECT_EQ(raw_md5, reference.fingerprint());
 
-  // And the merged v2 file's own bytes decode back to that fingerprint.
-  TraceReader reader(path("m2.nmot"));
+  // And the merged file's own bytes decode back to that fingerprint.
+  TraceReader reader(path("lz.nmot"));
   const auto merged = reader.read_all();
   ASSERT_TRUE(reader.ok()) << reader.error();
   EXPECT_EQ(reader.info().version, kTraceVersion2);
-  EXPECT_EQ(merged.fingerprint(), v1_md5);
+  EXPECT_EQ(merged.fingerprint(), reference.fingerprint());
 }
 
 TEST_F(StoreTest, MergeOfSingleFileIsIdentity) {

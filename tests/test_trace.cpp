@@ -4,8 +4,8 @@
 // truncation mid-block and mid-sample, overlong varints, out-of-range
 // region ids, bad block markers, tampered MD5 footers, appended garbage -
 // must fail the read with a message and never silently drop or invent a
-// sample, for both format v1 and v2 fixtures, with probe() agreeing with
-// the full read on every fixture.
+// sample, for both format v1 (the checked-in fixture) and v2 files, with
+// probe() agreeing with the full read on every fixture.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -156,8 +156,9 @@ namespace fs = std::filesystem;
 //
 // Parameterized over the on-disk format version: every corruption must be
 // rejected by the v1 and the v2 decode paths alike, and probe() must agree
-// with the full read on every fixture (satellite of ISSUE 5: probe used to
-// skip the end-of-stream checks read_footer makes).
+// with the full read on every fixture (probe used to skip the end-of-stream
+// checks read_footer makes).  No writer emits v1, so the v1 instance
+// corrupts a copy of the checked-in tests/data/fixture_v1.nmot.
 
 class CorruptTraceTest : public ::testing::TestWithParam<std::uint16_t> {
  protected:
@@ -175,13 +176,24 @@ class CorruptTraceTest : public ::testing::TestWithParam<std::uint16_t> {
     return (dir_ / name).string();
   }
 
+  /// Samples in write_fixture()'s file.
+  [[nodiscard]] std::size_t fixture_samples() const {
+    return version() == kTraceVersion1 ? 512 : 1200;
+  }
+
   /// Writes a deterministic multi-block trace (several cores interleaved,
-  /// enough samples for more than one v2 block) in the parameterized
-  /// version.  Compression is off so payload bytes sit at predictable
-  /// offsets for surgical corruption.
-  std::string write_fixture(const std::string& name, std::size_t samples = 1200) {
+  /// enough samples for more than one block) in the parameterized version:
+  /// for v1 a copy of the checked-in fixture, for v2 a fresh uncompressed
+  /// file, so payload bytes sit at predictable offsets for surgical
+  /// corruption.
+  std::string write_fixture(const std::string& name) {
+    const std::string p = path(name);
+    if (version() == kTraceVersion1) {
+      fs::copy_file(std::string(NMO_TEST_DATA_DIR) + "/fixture_v1.nmot", p);
+      return p;
+    }
     core::SampleTrace trace;
-    for (std::size_t i = 0; i < samples; ++i) {
+    for (std::size_t i = 0; i < fixture_samples(); ++i) {
       core::TraceSample s;
       s.time_ns = 1000 + 17 * i;
       s.core = static_cast<CoreId>(i % 4);
@@ -191,8 +203,7 @@ class CorruptTraceTest : public ::testing::TestWithParam<std::uint16_t> {
       s.region = static_cast<std::int32_t>(i % 3) - 1;
       trace.add(s);
     }
-    const std::string p = path(name);
-    TraceWriter writer(p, TraceWriter::Options{version(), false});
+    TraceWriter writer(p, TraceWriter::Options{.compress = false});
     writer.write_all(trace);
     EXPECT_TRUE(writer.close()) << writer.error();
     return p;
@@ -231,11 +242,11 @@ TEST_P(CorruptTraceTest, IntactFixtureReadsCleanly) {
   TraceReader reader(p);
   const auto all = reader.read_all();
   ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(all.size(), 1200u);
+  EXPECT_EQ(all.size(), fixture_samples());
   EXPECT_EQ(reader.info().version, version());
   const auto probed = TraceReader::probe(p);
   ASSERT_TRUE(probed.has_value());
-  EXPECT_EQ(probed->samples, 1200u);
+  EXPECT_EQ(probed->samples, fixture_samples());
   EXPECT_EQ(probed->fingerprint, reader.info().fingerprint);
 }
 
@@ -426,7 +437,7 @@ class MetaTamperTest : public CorruptTraceTest {
       trace.add(s);
     }
     const std::string p = path(name);
-    TraceWriter writer(p, TraceWriter::Options{kTraceVersion2, false, false});
+    TraceWriter writer(p, TraceWriter::Options{.compress = false, .index_meta = false});
     writer.write_all(trace);
     EXPECT_TRUE(writer.close()) << writer.error();
     return p;

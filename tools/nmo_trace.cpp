@@ -11,7 +11,7 @@
 //   nmo-trace export-csv FILE [-o OUT]     CSV byte-identical to write_csv
 //   nmo-trace compress FILE -o OUT         rewrite into format v2 (self-contained
 //                                          blocks + codec + index); --raw disables
-//                                          the codec, --v1 pins the legacy format
+//                                          the codec
 //   nmo-trace verify FILE...               full decode + footer MD5 + (v2) block
 //                                          index/metadata cross-check + probe agreement
 //   nmo-trace top FILE [--by region|level|core|latency] [-n N]
@@ -190,7 +190,6 @@ int cmd_compress(const Command& command, const Args& args) {
   if (out_path.empty()) return command.usage_error(kTool, "-o OUT is required");
   nmo::store::TraceWriter::Options options;
   if (args.has("raw")) options.compress = false;
-  if (args.has("v1")) options.version = nmo::store::kTraceVersion1;
 
   // Writing the output truncates it; aliasing the input would destroy the
   // trace being rewritten (same guard class as the merger's).
@@ -246,7 +245,7 @@ int cmd_compress(const Command& command, const Args& args) {
   const auto out_size = std::filesystem::file_size(out_path, ec);
   const auto samples = writer.samples_written();
   std::printf("%s (v%u, %ju B) -> %s (v%u, %ju B)\n", in_path.c_str(), reader.info().version,
-              static_cast<uintmax_t>(in_size), out_path.c_str(), options.version,
+              static_cast<uintmax_t>(in_size), out_path.c_str(), nmo::store::kTraceVersion,
               static_cast<uintmax_t>(out_size));
   std::printf("samples    : %" PRIu64 "\n", samples);
   std::printf("fingerprint: %s (unchanged)\n", writer.fingerprint().c_str());
@@ -598,8 +597,7 @@ int cmd_sessions(const Command&, const Args& args) {
       }
     }
   } else {
-    std::printf("scheduler: no %s (store predates the scheduler or used the "
-                "thread-per-session runner)\n",
+    std::printf("scheduler: no %s (store predates the scheduler)\n",
                 std::string(nmo::store::kSchedulerMetaFile).c_str());
   }
 
@@ -828,8 +826,7 @@ const std::vector<Command>& command_table() {
        1,
        1,
        {{"output", "o", Flag::Type::kString, "OUT", "rewritten trace path (required)"},
-        {"raw", "", Flag::Type::kBool, "", "disable the block codec"},
-        {"v1", "", Flag::Type::kBool, "", "pin the legacy v1 format"}},
+        {"raw", "", Flag::Type::kBool, "", "disable the block codec"}},
        cmd_compress},
       {"verify", "FILE...", "full decode + MD5 + block index/metadata cross-check", 1,
        std::size_t(-1), {}, cmd_verify},
